@@ -7,9 +7,10 @@ import (
 	"tdmd/internal/lint/flow"
 )
 
-// AnalyzerGoLeak enforces goroutine lifecycle hygiene in the places
-// the runtime actually spawns: internal/placement (the parallel
-// portfolio and exhaustive solvers) and cmd/tdmdserve. Every `go`
+// AnalyzerGoLeak enforces goroutine lifecycle hygiene in the service
+// runtime (internal/serve, cmd/tdmdserve) and in internal/placement,
+// whose solvers run on the caller's goroutine — any goroutine added
+// there must come with a join. Every `go`
 // statement must carry a completion signal — a channel send or close,
 // or a WaitGroup.Done — that the spawning frame (or a goroutine it
 // provably joins, e.g. a collector) waits for, and a blocking signal

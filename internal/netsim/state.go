@@ -36,11 +36,8 @@ import (
 // nearest the destination).
 //
 // Concurrency contract: the owning Instance stays read-only and may be
-// shared freely, but a State is single-goroutine for mutations — each
-// concurrent solver (e.g. each portfolio worker) builds its own.
-// Between mutations, the read-only VertexScore is safe to call from
-// many goroutines at once (the parallel greedy's candidate fan-out
-// does exactly that).
+// shared freely, but a State is single-goroutine — each concurrent
+// solve builds its own.
 //
 // With invariants enabled (see internal/invariant) every mutation
 // cross-checks the incremental state against the full Allocate /
@@ -332,9 +329,8 @@ func (s *State) rescore(v graph.NodeID) {
 
 // VertexScore computes v's greedy keys — marginal decrement and
 // unserved flows covered — directly from the maintained serving state,
-// bypassing and leaving untouched the per-vertex cache. It performs no
-// writes, so concurrent calls are safe while no mutation is in flight;
-// the parallel greedy fans its candidate scan out over this.
+// bypassing and leaving untouched the per-vertex cache; rescore fills
+// the cache from it.
 //
 //tdmd:hot
 func (s *State) VertexScore(v graph.NodeID) (gain float64, covered int) {

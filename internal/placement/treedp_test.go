@@ -181,6 +181,24 @@ func TestTreeDPRejectsNonTreeWorkload(t *testing.T) {
 	}
 }
 
+// A single-vertex tree with no flows solves to an empty network.
+func TestTreeDPSingleVertex(t *testing.T) {
+	g := graph.New()
+	g.AddNode("r")
+	tree, err := graph.NewTree(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := netsim.MustNew(g, nil, 0.5)
+	r, err := TreeDP(context.Background(), in, tree, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Bandwidth != 0 {
+		t.Fatalf("bandwidth = %v", r.Bandwidth)
+	}
+}
+
 func TestTreeDPRejectsZeroBudget(t *testing.T) {
 	in, tree := fig5Instance(t)
 	if _, err := TreeDP(context.Background(), in, tree, 0); err == nil {

@@ -410,12 +410,10 @@ func TestServeJobCancel(t *testing.T) {
 	}
 }
 
-// TestServeJobStreamNDJSON: a tdmd-flows/1 NDJSON body creates a job
-// through the streaming decoder, with algorithm/k taken from query
-// parameters — the path that bypasses the JSON body cap.
-func TestServeJobStreamNDJSON(t *testing.T) {
-	_, srv := testServer(t, Config{Workers: 2, Queue: 4})
-
+// threeNodeStream is a tdmd-flows/1 body for the path a-b-c rooted at
+// a, carrying one rate-5 flow c->b->a.
+func threeNodeStream(t *testing.T) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	w, err := tdmd.NewFlowStreamWriter(&buf, tdmd.StreamHeader{
 		Nodes:  []string{"a", "b", "c"},
@@ -432,8 +430,17 @@ func TestServeJobStreamNDJSON(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
 
-	resp, err := http.Post(srv.URL+"/v1/jobs?algorithm=gtp&k=1", "application/x-ndjson", bytes.NewReader(buf.Bytes()))
+// TestServeJobStreamNDJSON: a tdmd-flows/1 NDJSON body creates a job
+// through the streaming decoder, with algorithm/k taken from query
+// parameters — the path that bypasses the JSON body cap.
+func TestServeJobStreamNDJSON(t *testing.T) {
+	_, srv := testServer(t, Config{Workers: 2, Queue: 4})
+	body := threeNodeStream(t)
+
+	resp, err := http.Post(srv.URL+"/v1/jobs?algorithm=gtp&k=1", "application/x-ndjson", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +483,7 @@ func TestServeJobStreamNDJSON(t *testing.T) {
 	}
 
 	// A malformed k query parameter is a 400 before any solve.
-	bad, err := http.Post(srv.URL+"/v1/jobs?algorithm=gtp&k=lots", "application/x-ndjson", bytes.NewReader(buf.Bytes()))
+	bad, err := http.Post(srv.URL+"/v1/jobs?algorithm=gtp&k=lots", "application/x-ndjson", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -357,17 +357,31 @@ func makeSolveResponse(res tdmd.Result, problem *tdmd.Problem, elapsed float64) 
 	return resp
 }
 
+// requestAlgorithm resolves a request's algorithm name: empty means
+// the default (gtp), and a name the solver registry does not know is
+// the client's error, rejected before it can take a pool slot.
+func requestAlgorithm(name string) (tdmd.Algorithm, error) {
+	if name == "" {
+		return tdmd.AlgGTP, nil
+	}
+	alg := tdmd.Algorithm(name)
+	if alg.Doc() == "" {
+		return "", fmt.Errorf("unknown algorithm %q", name)
+	}
+	return alg, nil
+}
+
 // buildSubmission turns a decoded solveRequest into an engine
 // submission, applying the default algorithm and the tree
 // requirement check. On error the int is the HTTP status.
 func buildSubmission(req solveRequest) (Submission, int, error) {
+	alg, err := requestAlgorithm(req.Algorithm)
+	if err != nil {
+		return Submission{}, http.StatusBadRequest, err
+	}
 	problem, err := req.Spec.Build()
 	if err != nil {
 		return Submission{}, http.StatusBadRequest, fmt.Errorf("building problem: %v", err)
-	}
-	alg := tdmd.Algorithm(req.Algorithm)
-	if alg == "" {
-		alg = tdmd.AlgGTP
 	}
 	if alg.NeedsTree() && problem.Tree() == nil {
 		return Submission{}, http.StatusBadRequest, fmt.Errorf("algorithm %s needs a spec with a root", alg)
@@ -613,9 +627,9 @@ func (s *Server) streamSubmission(w http.ResponseWriter, r *http.Request) (Submi
 		return Submission{}, http.StatusBadRequest, fmt.Errorf("decoding %s stream: %v", tdmd.StreamFormat, err)
 	}
 	q := r.URL.Query()
-	alg := tdmd.Algorithm(q.Get("algorithm"))
-	if alg == "" {
-		alg = tdmd.AlgGTP
+	alg, err := requestAlgorithm(q.Get("algorithm"))
+	if err != nil {
+		return Submission{}, http.StatusBadRequest, err
 	}
 	if alg.NeedsTree() && problem.Tree() == nil {
 		return Submission{}, http.StatusBadRequest, fmt.Errorf("algorithm %s needs a stream with a root", alg)

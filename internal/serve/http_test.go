@@ -279,31 +279,67 @@ func TestServeSolveDeadline503(t *testing.T) {
 }
 
 // TestServeBadOptions400: option mismatches are 400 with the JSON
-// envelope carrying the request scope.
+// envelope carrying the request scope. An algorithm the registry does
+// not know is rejected before admission, so it is 400 on the job
+// routes too and never reaches the engine.
 func TestServeBadOptions400(t *testing.T) {
 	_, srv := testServer(t, Config{SolveTimeout: 2 * time.Second})
+	submitted := func() int64 {
+		return countSeries(t, "tdmd_serve_cache_hits_total") +
+			countSeries(t, "tdmd_serve_coalesced_total") +
+			countSeries(t, "tdmd_serve_cache_misses_total")
+	}
 	cases := []struct {
-		name string
-		req  solveRequest
+		name    string
+		req     solveRequest
+		unknown bool
 	}{
-		{"random without seed", solveRequest{Spec: fig1Spec(t), Algorithm: "random", K: 3}},
-		{"gtp-lazy with budget", solveRequest{Spec: fig1Spec(t), Algorithm: "gtp-lazy", K: 3}},
+		{"random without seed", solveRequest{Spec: fig1Spec(t), Algorithm: "random", K: 3}, false},
+		{"gtp-lazy with budget", solveRequest{Spec: fig1Spec(t), Algorithm: "gtp-lazy", K: 3}, false},
+		{"removed gtp-parallel", solveRequest{Spec: fig1Spec(t), Algorithm: "gtp-parallel"}, true},
+		{"unknown algorithm", solveRequest{Spec: fig1Spec(t), Algorithm: "no-such-solver", K: 3}, true},
 	}
 	for _, tc := range cases {
-		resp := post(t, srv, "/api/solve", tc.req)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status = %d, want 400", tc.name, resp.StatusCode)
+		paths := []string{"/api/solve"}
+		if tc.unknown {
+			paths = append(paths, "/v1/jobs")
 		}
-		var env errorEnvelope
-		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		for _, path := range paths {
+			before := submitted()
+			resp := post(t, srv, path, tc.req)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s %s: status = %d, want 400", path, tc.name, resp.StatusCode)
+			}
+			var env errorEnvelope
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if env.Error == "" || env.ElapsedMS < 0 {
+				t.Fatalf("%s %s: envelope %+v", path, tc.name, env)
+			}
+			if env.DeadlineMS != 2000 {
+				t.Fatalf("%s %s: deadline_ms = %v, want 2000", path, tc.name, env.DeadlineMS)
+			}
+			if tc.unknown && submitted() != before {
+				t.Fatalf("%s %s: unknown algorithm reached the engine", path, tc.name)
+			}
+		}
+		if !tc.unknown {
+			continue
+		}
+		before := submitted()
+		resp, err := http.Post(srv.URL+"/v1/jobs?algorithm="+tc.req.Algorithm,
+			"application/x-ndjson", bytes.NewReader(threeNodeStream(t)))
+		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if env.Error == "" || env.ElapsedMS < 0 {
-			t.Fatalf("%s: envelope %+v", tc.name, env)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("NDJSON /v1/jobs %s: status = %d, want 400", tc.name, resp.StatusCode)
 		}
-		if env.DeadlineMS != 2000 {
-			t.Fatalf("%s: deadline_ms = %v, want 2000", tc.name, env.DeadlineMS)
+		if submitted() != before {
+			t.Fatalf("NDJSON /v1/jobs %s: unknown algorithm reached the engine", tc.name)
 		}
 	}
 }

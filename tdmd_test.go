@@ -111,8 +111,14 @@ func TestSolveTreeAlgNeedsTree(t *testing.T) {
 
 func TestSolveUnknownAlgorithm(t *testing.T) {
 	p := fig1Problem(t)
-	if _, err := p.Solve(context.Background(), "nope", 3); err == nil {
-		t.Fatal("unknown algorithm accepted")
+	// The removed worker-pool twins are unknown names like any other.
+	for _, alg := range []Algorithm{"nope", "gtp-parallel", "gtp-lazy-parallel", "dp-parallel", "exhaustive-parallel"} {
+		if _, err := p.Solve(context.Background(), alg, 3); err == nil {
+			t.Fatalf("unknown algorithm %q accepted", alg)
+		}
+		if alg.Doc() != "" {
+			t.Fatalf("unknown algorithm %q reported a doc line", alg)
+		}
 	}
 }
 
